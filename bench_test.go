@@ -892,6 +892,29 @@ func BenchmarkMaskSearchSerial(b *testing.B) {
 	b.ReportMetric(1, "eval_workers")
 }
 
+// BenchmarkRouteNetSystemOutput times one masked system evaluation on the
+// BenchmarkMaskSearch instance: the choice distributions of every demand,
+// one RouteNet* forward pass per candidate path. It is the unit of work the
+// SPSA search repeats.
+func BenchmarkRouteNetSystemOutput(b *testing.B) {
+	f := fixture()
+	g, model := f.RouteNet()
+	opt := &routenet.Optimizer{Model: model, Graph: g}
+	demands := routing.RandomDemands(g, f.Scale.RouteDemands, 3, 9, 907)
+	rt := opt.Route(demands)
+	sys := &experiments.RouteNetSystem{Opt: opt, Routing: rt}
+	rng := rand.New(rand.NewSource(907))
+	m := make([]float64, sys.NumConnections())
+	for i := range m {
+		m[i] = rng.Float64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Output(m)
+	}
+}
+
 // cartBenchTable grows the test-scale distillation corpus to the size a
 // full-scale DAgger aggregate reaches (~35k samples): each replica of the
 // corpus gets a small deterministic relative jitter, so feature columns are

@@ -185,6 +185,7 @@ type ShadowStats struct {
 	Sampled       int64 `json:"sampled"`
 	Dropped       int64 `json:"dropped"`
 	Scored        int64 `json:"scored"`
+	Stale         int64 `json:"stale"`
 	Disagreements int64 `json:"disagreements"`
 	Refits        int64 `json:"refits"`
 	Rollbacks     int64 `json:"rollbacks"`

@@ -55,15 +55,36 @@ func (m *Matrix) Zero() {
 }
 
 // MulVec computes y = M·x for a vector x of length Cols.
+//
+// Four rows are summed at once, each into its own accumulator, so the four
+// chains of dependent adds overlap instead of one row's latency bounding the
+// loop. Every row is still summed in column order, so each y[i] is bit-for-bit
+// the plain dot product of row i with x.
 func (m *Matrix) MulVec(x, y []float64) {
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic(fmt.Sprintf("nn: MulVec shape mismatch: %dx%d by %d into %d", m.Rows, m.Cols, len(x), len(y)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+	n := len(x)
+	i := 0
+	for ; i+4 <= len(y); i += 4 {
+		r0 := m.Data[i*n:][:n]
+		r1 := m.Data[(i+1)*n:][:n]
+		r2 := m.Data[(i+2)*n:][:n]
+		r3 := m.Data[(i+3)*n:][:n]
+		var s0, s1, s2, s3 float64
+		for j, xj := range x {
+			s0 += r0[j] * xj
+			s1 += r1[j] * xj
+			s2 += r2[j] * xj
+			s3 += r3[j] * xj
+		}
+		y[i], y[i+1], y[i+2], y[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(y); i++ {
+		row := m.Data[i*n:][:n]
 		s := 0.0
-		for j, w := range row {
-			s += w * x[j]
+		for j, xj := range x {
+			s += row[j] * xj
 		}
 		y[i] = s
 	}

@@ -100,8 +100,10 @@ type Dense struct {
 	GW *Matrix
 	GB []float64
 
-	// Forward caches (single-sample training).
+	// Forward caches (single-sample training) and the pre-activation
+	// scratch, reused by every forward call.
 	x []float64
+	z []float64
 	a []float64
 }
 
@@ -115,6 +117,7 @@ func newDense(in, out int, act Activation, rng *rand.Rand) *Dense {
 		GW:  NewMatrix(out, in),
 		GB:  make([]float64, out),
 		x:   make([]float64, in),
+		z:   make([]float64, out),
 		a:   make([]float64, out),
 	}
 	scale := math.Sqrt(2.0 / float64(in))
@@ -129,10 +132,9 @@ func newDense(in, out int, act Activation, rng *rand.Rand) *Dense {
 
 func (d *Dense) forward(x []float64) []float64 {
 	copy(d.x, x)
-	z := make([]float64, d.Out)
-	d.W.MulVec(x, z)
-	Axpy(1, d.B, z)
-	d.Act.apply(z, d.a)
+	d.W.MulVec(x, d.z)
+	Axpy(1, d.B, d.z)
+	d.Act.apply(d.z, d.a)
 	return d.a
 }
 
@@ -156,6 +158,7 @@ type Network struct {
 	SkipInputs []int
 
 	lastIn []float64 // cached raw input for skip backward
+	aug    []float64 // last hidden activation followed by the skip inputs
 }
 
 // Config describes a Network architecture.
@@ -219,12 +222,14 @@ func (n *Network) Forward(x []float64) []float64 {
 	last := len(n.Layers) - 1
 	for i, l := range n.Layers {
 		if i == last && len(n.SkipInputs) > 0 {
-			aug := make([]float64, len(h)+len(n.SkipInputs))
-			copy(aug, h)
-			for k, idx := range n.SkipInputs {
-				aug[len(h)+k] = x[idx]
+			if n.aug == nil {
+				n.aug = make([]float64, l.In)
 			}
-			h = aug
+			copy(n.aug, h)
+			for k, idx := range n.SkipInputs {
+				n.aug[len(h)+k] = x[idx]
+			}
+			h = n.aug
 		}
 		h = l.forward(h)
 	}
@@ -313,7 +318,7 @@ func (n *Network) Clone() *Network {
 			W: l.W.Clone(), B: append([]float64(nil), l.B...),
 			Act: l.Act,
 			GW:  NewMatrix(l.Out, l.In), GB: make([]float64, l.Out),
-			x: make([]float64, l.In), a: make([]float64, l.Out),
+			x: make([]float64, l.In), z: make([]float64, l.Out), a: make([]float64, l.Out),
 		}
 		c.Layers = append(c.Layers, nl)
 	}
@@ -360,11 +365,11 @@ func (n *Network) UnmarshalBinary(data []byte) error {
 			W:  &Matrix{Rows: lw.Out, Cols: lw.In, Data: lw.W},
 			B:  lw.B,
 			GW: NewMatrix(lw.Out, lw.In), GB: make([]float64, lw.Out),
-			x: make([]float64, lw.In), a: make([]float64, lw.Out),
+			x: make([]float64, lw.In), z: make([]float64, lw.Out), a: make([]float64, lw.Out),
 		}
 		n.Layers = append(n.Layers, l)
 	}
-	n.lastIn = nil
+	n.lastIn, n.aug = nil, nil
 	return nil
 }
 

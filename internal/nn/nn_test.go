@@ -22,6 +22,63 @@ func TestMatrixMulVec(t *testing.T) {
 	}
 }
 
+// TestMulVecMatchesNaive checks the four-row kernel bit for bit against a
+// plain one-row-at-a-time dot product, across row counts that exercise the
+// blocked rows, the remainder rows and both together.
+func TestMulVecMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, rows := range []int{1, 3, 4, 5, 8, 63, 64, 65} {
+		for _, cols := range []int{1, 7, 16, 64} {
+			m := NewMatrix(rows, cols)
+			for i := range m.Data {
+				m.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+			}
+			x := make([]float64, cols)
+			for j := range x {
+				x[j] = rng.NormFloat64()
+			}
+			y := make([]float64, rows)
+			m.MulVec(x, y)
+			for i := 0; i < rows; i++ {
+				want := 0.0
+				for j := 0; j < cols; j++ {
+					want += m.At(i, j) * x[j]
+				}
+				if math.Float64bits(y[i]) != math.Float64bits(want) {
+					t.Fatalf("%dx%d row %d: MulVec %v, naive %v", rows, cols, i, y[i], want)
+				}
+			}
+		}
+	}
+}
+
+// TestForwardAllocationFree pins the inference path at zero allocations per
+// call, with and without the skip inputs of the §6.2 modified structure.
+func TestForwardAllocationFree(t *testing.T) {
+	for _, skip := range [][]int{nil, {0, 3}} {
+		net := NewNetwork(Config{Sizes: []int{6, 64, 64, 4}, Hidden: ReLU, Output: SoftmaxAct, SkipInputs: skip, Seed: 9})
+		x := []float64{0.1, -0.4, 0.7, 0.2, 0.9, -0.3}
+		if allocs := testing.AllocsPerRun(100, func() { net.Forward(x) }); allocs != 0 {
+			t.Errorf("skip inputs %v: Forward allocates %.0f times per call, want 0", skip, allocs)
+		}
+		// A clone and a decoded copy get their own scratch and stay at zero.
+		data, err := net.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Network
+		if err := back.UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
+		for name, n := range map[string]*Network{"clone": net.Clone(), "decoded": &back} {
+			n.Forward(x)
+			if allocs := testing.AllocsPerRun(100, func() { n.Forward(x) }); allocs != 0 {
+				t.Errorf("skip inputs %v, %s: Forward allocates %.0f times per call, want 0", skip, name, allocs)
+			}
+		}
+	}
+}
+
 func TestMatrixAddOuter(t *testing.T) {
 	m := NewMatrix(2, 2)
 	m.AddOuter([]float64{1, 2}, []float64{3, 4}, 1)

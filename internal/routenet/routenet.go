@@ -32,6 +32,28 @@ type Model struct {
 	Message  *nn.Network // [h_p, h_l] → message to the link
 	LinkUpd  *nn.Network // [h_l, Σmsg] → new h_l
 	Readout  *nn.Network // h_p → predicted delay (ms, softplus-encoded)
+
+	s passScratch // forward-pass buffers, reused by every pass on this model
+}
+
+// passScratch holds the buffers of one forward pass. Embeddings are flat and
+// row-major: link l's state is hL[l*EmbedDim:(l+1)*EmbedDim], and likewise
+// for path states and link aggregates.
+type passScratch struct {
+	hL, hP, agg []float64
+	crossed     []bool // crossed[l] reports whether some path crosses link l
+	in          [2 * EmbedDim]float64
+	scalar      [1]float64
+	delays      []float64
+	candMask    []float64 // ChoiceDistribution's candidate mask
+}
+
+// grow returns buf resized to n, reallocating only when it is too small.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // NewModel builds an untrained model.
@@ -49,8 +71,9 @@ func NewModel(seed int64) *Model {
 	}
 }
 
-// Clone returns a deep copy of the model. Forward passes reuse per-network
-// scratch buffers, so concurrent mask evaluations each need their own copy.
+// Clone returns a deep copy of the model. Forward passes reuse the model's
+// and its networks' scratch buffers, so concurrent mask evaluations each
+// need their own copy.
 func (m *Model) Clone() *Model {
 	return &Model{
 		LinkInit: m.LinkInit.Clone(),
@@ -98,71 +121,97 @@ func NumConnections(paths []topo.Path) int {
 // per connection in hyperedge-major order; masked connections contribute
 // proportionally less to both path updates and link aggregation, which is
 // how Metis masks input structure (Equation 9's gating applies upstream).
+//
+// The pass reuses buffers held on m, so a Model serves one goroutine at a
+// time; concurrent callers each use their own Clone. Only links that some
+// path crosses are initialised and updated: a path reads link state only at
+// the links it crosses, and an uncovered link's state never feeds a covered
+// one, so skipping uncovered links leaves every delay bit-for-bit unchanged.
 func (m *Model) PredictDelays(g *topo.Graph, demands []routing.Demand, paths []topo.Path, mask []float64) []float64 {
-	numLinks := len(g.Links)
-	hL := make([][]float64, numLinks)
-	for i, l := range g.Links {
-		out := m.LinkInit.Forward([]float64{l.CapMbps / 100})
-		hL[i] = append([]float64(nil), out...)
-	}
-	hP := make([][]float64, len(paths))
-	for i := range paths {
-		out := m.PathInit.Forward([]float64{demands[i].VolumeMbps / 10})
-		hP[i] = append([]float64(nil), out...)
-	}
-	off := ConnectionOffsets(paths)
-	weight := func(pathIdx, pos int) float64 {
-		if mask == nil {
-			return 1
+	return append([]float64(nil), m.predict(g, demands, paths, mask)...)
+}
+
+// predict is PredictDelays into a buffer owned by m, valid until the next
+// pass.
+func (m *Model) predict(g *topo.Graph, demands []routing.Demand, paths []topo.Path, mask []float64) []float64 {
+	const E = EmbedDim
+	s := &m.s
+	s.crossed = grow(s.crossed, len(g.Links))
+	clear(s.crossed)
+	for _, p := range paths {
+		for _, id := range p {
+			s.crossed[id] = true
 		}
-		return mask[off[pathIdx]+pos]
+	}
+	s.hL = grow(s.hL, len(g.Links)*E)
+	s.agg = grow(s.agg, len(g.Links)*E)
+	s.hP = grow(s.hP, len(paths)*E)
+	hL, hP, agg, in := s.hL, s.hP, s.agg, s.in[:]
+	for id, crossed := range s.crossed {
+		if crossed {
+			s.scalar[0] = g.Links[id].CapMbps / 100
+			copy(hL[id*E:(id+1)*E], m.LinkInit.Forward(s.scalar[:]))
+		}
+	}
+	for i := range paths {
+		s.scalar[0] = demands[i].VolumeMbps / 10
+		copy(hP[i*E:(i+1)*E], m.PathInit.Forward(s.scalar[:]))
 	}
 
-	buf := make([]float64, 2*EmbedDim)
 	for round := 0; round < Rounds; round++ {
 		// Path update: sequentially absorb link states along the path.
+		c := 0 // running connection index into mask
 		for pi, p := range paths {
-			for pos, id := range p {
-				copy(buf[:EmbedDim], hP[pi])
-				copy(buf[EmbedDim:], hL[id])
-				out := m.PathUpd.Forward(buf)
-				w := weight(pi, pos)
-				for k := range hP[pi] {
-					hP[pi][k] = (1-w)*hP[pi][k] + w*out[k]
+			h := hP[pi*E : (pi+1)*E]
+			for _, id := range p {
+				copy(in[:E], h)
+				copy(in[E:], hL[id*E:(id+1)*E])
+				out := m.PathUpd.Forward(in)
+				w := 1.0
+				if mask != nil {
+					w = mask[c]
+				}
+				c++
+				for k := range h {
+					h[k] = (1-w)*h[k] + w*out[k]
 				}
 			}
 		}
 		// Link aggregation: sum masked messages from covering paths.
-		agg := make([][]float64, numLinks)
-		for i := range agg {
-			agg[i] = make([]float64, EmbedDim)
-		}
+		clear(agg)
+		c = 0
 		for pi, p := range paths {
-			for pos, id := range p {
-				copy(buf[:EmbedDim], hP[pi])
-				copy(buf[EmbedDim:], hL[id])
-				msg := m.Message.Forward(buf)
-				w := weight(pi, pos)
+			for _, id := range p {
+				copy(in[:E], hP[pi*E:(pi+1)*E])
+				copy(in[E:], hL[id*E:(id+1)*E])
+				msg := m.Message.Forward(in)
+				w := 1.0
+				if mask != nil {
+					w = mask[c]
+				}
+				c++
+				a := agg[id*E : (id+1)*E]
 				for k := range msg {
-					agg[id][k] += w * msg[k]
+					a[k] += w * msg[k]
 				}
 			}
 		}
 		// Link update.
-		for i := range hL {
-			copy(buf[:EmbedDim], hL[i])
-			copy(buf[EmbedDim:], agg[i])
-			out := m.LinkUpd.Forward(buf)
-			copy(hL[i], out)
+		for id, crossed := range s.crossed {
+			if crossed {
+				copy(in[:E], hL[id*E:(id+1)*E])
+				copy(in[E:], agg[id*E:(id+1)*E])
+				copy(hL[id*E:(id+1)*E], m.LinkUpd.Forward(in))
+			}
 		}
 	}
-	delays := make([]float64, len(paths))
+	s.delays = grow(s.delays, len(paths))
 	for pi := range paths {
-		raw := m.Readout.Forward(hP[pi])[0]
+		raw := m.Readout.Forward(hP[pi*E : (pi+1)*E])[0]
 		// Softplus keeps predictions positive; scale to milliseconds.
-		delays[pi] = 10 * math.Log1p(math.Exp(raw))
+		s.delays[pi] = 10 * math.Log1p(math.Exp(raw))
 	}
-	return delays
+	return s.delays
 }
 
 // TrainConfig controls supervised model fitting.
@@ -220,7 +269,7 @@ func (m *Model) Loss(g *topo.Graph, cfg TrainConfig, seed int64) float64 {
 		demands := routing.RandomDemands(g, cfg.Demands, cfg.VolumeLo, cfg.VolumeHi, seed+int64(s)*977)
 		r := randomRouting(g, demands, seed+int64(s))
 		truth := cfg.Delay.Evaluate(g, r)
-		pred := m.PredictDelays(g, demands, r.Paths, nil)
+		pred := m.predict(g, demands, r.Paths, nil)
 		for i := range truth {
 			d := math.Log1p(pred[i]) - math.Log1p(truth[i])
 			se += d * d
@@ -263,7 +312,7 @@ func (o *Optimizer) Route(demands []routing.Demand) *routing.Routing {
 		best, bestDelay := 0, math.Inf(1)
 		for ci, cand := range cands {
 			r.Paths[i] = cand
-			pred := o.Model.PredictDelays(o.Graph, demands, r.Paths, nil)
+			pred := o.Model.predict(o.Graph, demands, r.Paths, nil)
 			if pred[i] < bestDelay {
 				bestDelay = pred[i]
 				best = ci
@@ -285,38 +334,36 @@ func (o *Optimizer) ChoiceDistribution(r *routing.Routing, i int, mask []float64
 	}
 	d := r.Demands[i]
 	cands := o.Graph.CandidatePaths(d.Src, d.Dst, 1)
-	off := ConnectionOffsets(r.Paths)
-	chosenMask := map[int]float64{}
-	if mask != nil {
-		for pos, id := range r.Paths[i] {
-			chosenMask[id] = mask[off[i]+pos]
-		}
+	chosen := r.Paths[i]
+	// Demand i's connections start at first in r's connection order; the
+	// connections after them keep their weights, shifted by the length
+	// difference of the candidate.
+	first := 0
+	for _, p := range r.Paths[:i] {
+		first += len(p)
 	}
 	scores := make([]float64, len(cands))
-	saved := r.Paths[i]
 	for ci, cand := range cands {
 		r.Paths[i] = cand
 		var candMask []float64
 		if mask != nil {
-			candMask = make([]float64, NumConnections(r.Paths))
-			noff := ConnectionOffsets(r.Paths)
-			for pj, p := range r.Paths {
-				for pos, id := range p {
-					w := 1.0
-					if pj == i {
-						if mv, ok := chosenMask[id]; ok {
-							w = mv
-						}
-					} else {
-						w = mask[off[pj]+pos]
+			candMask = grow(o.Model.s.candMask, len(mask)-len(chosen)+len(cand))
+			o.Model.s.candMask = candMask
+			copy(candMask, mask[:first])
+			for pos, id := range cand {
+				w := 1.0
+				for cpos, cid := range chosen {
+					if cid == id {
+						w = mask[first+cpos]
 					}
-					candMask[noff[pj]+pos] = w
 				}
+				candMask[first+pos] = w
 			}
+			copy(candMask[first+len(cand):], mask[first+len(chosen):])
 		}
-		pred := o.Model.PredictDelays(o.Graph, r.Demands, r.Paths, candMask)
+		pred := o.Model.predict(o.Graph, r.Demands, r.Paths, candMask)
 		scores[ci] = -pred[i] / temperature
 	}
-	r.Paths[i] = saved
-	return nn.Softmax(scores, nil)
+	r.Paths[i] = chosen
+	return nn.Softmax(scores, scores)
 }

@@ -219,10 +219,11 @@ type Config struct {
 // scratch (transport decode buffers, shared-memory slabs) that is recycled
 // as soon as the predict call returns.
 type Mirror interface {
-	// Observe is called with the request's model name, its feature rows, and
-	// the actions the serving student chose. actions is nil for regression
-	// models. Observe must never block.
-	Observe(model string, rows [][]float64, actions []int)
+	// Observe is called with the model that served the request (its Name and
+	// Generation identify which student chose the actions), the request's
+	// feature rows, and those actions. actions is nil for regression models.
+	// Observe must never block.
+	Observe(m *Model, rows [][]float64, actions []int)
 	// Snapshot returns the mirror's live counters for /v2/stats and /metrics.
 	Snapshot() MirrorSnapshot
 }
@@ -231,9 +232,11 @@ type Mirror interface {
 type MirrorSnapshot struct {
 	// Sampled counts batches copied to the shadow queue; Dropped counts
 	// sampled batches discarded because the queue was full (drop-and-count:
-	// mirroring never backpressures serving). Scored counts rows the shadow
-	// worker has compared against the teacher.
-	Sampled, Dropped, Scored int64
+	// mirroring never backpressures serving). Scored counts batches the
+	// shadow worker has compared against the teacher; Stale counts batches
+	// it discarded because a generation other than the one now serving
+	// answered them (they were queued across a refit or rollback reload).
+	Sampled, Dropped, Scored, Stale int64
 	// Disagreements counts scored rows where teacher and student differ;
 	// Refits and Rollbacks count controller actions.
 	Disagreements, Refits, Rollbacks int64
@@ -243,7 +246,7 @@ type MirrorSnapshot struct {
 
 // MirrorModelSnapshot is one model's shadow-scoring state.
 type MirrorModelSnapshot struct {
-	Sampled, Dropped, Scored, Disagreements, Refits, Rollbacks int64
+	Sampled, Dropped, Scored, Stale, Disagreements, Refits, Rollbacks int64
 	// Fidelity is the windowed teacher-agreement estimate in [0, 1], or -1
 	// while the window has not yet filled.
 	Fidelity float64
@@ -571,7 +574,7 @@ func (e *Engine) PredictInto(name string, rows [][]float64, p *Prediction) error
 	if mp := e.mirror.Load(); mp != nil {
 		// The mirror copies what it samples before returning; rows and
 		// p.Actions stay caller-owned.
-		(*mp).Observe(m.Name, rows, p.Actions)
+		(*mp).Observe(m, rows, p.Actions)
 	}
 	return nil
 }

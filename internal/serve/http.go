@@ -337,6 +337,7 @@ func (f *front) statsBody() map[string]any {
 		shadow["sampled"] = snap.Sampled
 		shadow["dropped"] = snap.Dropped
 		shadow["scored"] = snap.Scored
+		shadow["stale"] = snap.Stale
 		shadow["disagreements"] = snap.Disagreements
 		shadow["refits"] = snap.Refits
 		shadow["rollbacks"] = snap.Rollbacks
@@ -420,6 +421,7 @@ func (f *front) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	counter("metis_shadow_sampled_total", "Predict batches mirrored to the shadow-scoring queue.", snap.Sampled)
 	counter("metis_shadow_dropped_total", "Sampled batches dropped because the shadow queue was full.", snap.Dropped)
+	counter("metis_shadow_stale_total", "Sampled batches discarded because a generation no longer serving answered them.", snap.Stale)
 	counter("metis_shadow_disagreements_total", "Shadow-scored rows where teacher and student disagreed.", snap.Disagreements)
 	counter("metis_shadow_refits_total", "Drift-triggered student refits applied by the shadow loop.", snap.Refits)
 	counter("metis_shadow_rollbacks_total", "Refits rolled back because the new student measured worse.", snap.Rollbacks)

@@ -312,15 +312,16 @@ func (s *ShardedEngine) Reshard(n int) error {
 			e.SetMirror(*mp)
 		}
 	}
-	// Fold the retired shards' counters into the bases. In-flight predicts
-	// on the old engines may record a few more samples after this snapshot;
-	// that sliver of drift is accepted (telemetry, not an exactness
-	// contract).
+	// Publish the new layout first, then fold the retired shards' counters
+	// into the bases: folding first would lose every predict that reached
+	// the old shards while the fold ran. Predicts already in flight on the
+	// old engines may still record a few samples after the snapshot; that
+	// sliver of drift is accepted (telemetry, not an exactness contract).
+	s.state.Store(next)
 	for _, e := range st.shards {
 		s.requestsBase.Add(e.requests.Load())
 		s.latencyBase.Merge(e.latency)
 	}
-	s.state.Store(next)
 	s.reloads.Add(1)
 	return nil
 }

@@ -147,10 +147,12 @@ type ModelConfig struct {
 }
 
 // sample is one mirrored predict batch: deep copies, because the engine's
-// buffers are recycled the moment Observe returns.
+// buffers are recycled the moment Observe returns. generation is the
+// generation of the student that chose the actions.
 type sample struct {
-	rows    [][]float64
-	actions []int
+	rows       [][]float64
+	actions    []int
+	generation int64
 }
 
 // Engine is the slice of a serving engine the monitor needs: model lookup
@@ -268,10 +270,11 @@ func (m *Monitor) Close() {
 }
 
 // Observe implements serve.Mirror: assign the batch its per-model sequence
-// number, and copy it onto the model's queue when the sampler picks it.
-// Non-blocking by construction — a full queue drops and counts.
-func (m *Monitor) Observe(model string, rows [][]float64, actions []int) {
-	w, ok := m.workers[model]
+// number, and copy it onto the model's queue, stamped with the serving
+// generation, when the sampler picks it. Non-blocking by construction — a
+// full queue drops and counts.
+func (m *Monitor) Observe(mod *serve.Model, rows [][]float64, actions []int) {
+	w, ok := m.workers[mod.Name]
 	if !ok || actions == nil {
 		return
 	}
@@ -283,7 +286,7 @@ func (m *Monitor) Observe(model string, rows [][]float64, actions []int) {
 	if cap := m.opts.ScoreCap; cap > 0 && n > cap {
 		n = cap
 	}
-	s := &sample{rows: make([][]float64, n), actions: append([]int(nil), actions[:n]...)}
+	s := &sample{rows: make([][]float64, n), actions: append([]int(nil), actions[:n]...), generation: mod.Generation}
 	flat := make([]float64, n*len(rows[0]))
 	for i, row := range rows[:n] {
 		dst := flat[i*len(row) : (i+1)*len(row) : (i+1)*len(row)]
@@ -305,6 +308,7 @@ func (m *Monitor) Snapshot() serve.MirrorSnapshot {
 			Sampled:       w.sampled.Load(),
 			Dropped:       w.dropped.Load(),
 			Scored:        w.scored.Load(),
+			Stale:         w.stale.Load(),
 			Disagreements: w.disagreements.Load(),
 			Refits:        w.refits.Load(),
 			Rollbacks:     w.rollbacks.Load(),
@@ -319,6 +323,7 @@ func (m *Monitor) Snapshot() serve.MirrorSnapshot {
 		snap.Sampled += ms.Sampled
 		snap.Dropped += ms.Dropped
 		snap.Scored += ms.Scored
+		snap.Stale += ms.Stale
 		snap.Disagreements += ms.Disagreements
 		snap.Refits += ms.Refits
 		snap.Rollbacks += ms.Rollbacks
@@ -346,7 +351,7 @@ type worker struct {
 
 	queue chan *sample
 
-	sampled, dropped, scored         atomic.Int64
+	sampled, dropped, scored, stale  atomic.Int64
 	disagreements, refits, rollbacks atomic.Int64
 
 	// Controller state below is owned by the scorer goroutine.
@@ -419,11 +424,28 @@ func (w *worker) loop() {
 	}
 }
 
+// servingGeneration is the generation of the student the engine serves now.
+func (w *worker) servingGeneration() int64 {
+	if mod, ok := w.mon.engine.Model(w.cfg.Model); ok {
+		return mod.Generation
+	}
+	return w.generation
+}
+
 // score replays one sampled batch against the teacher, updates the fidelity
 // window, appends disagreements to the corpus, and runs the controller.
-// Scored counts batches — the same unit as sampled and dropped, so
-// sampled == scored + dropped holds once the queue drains.
+// Scored and stale count batches — the same unit as sampled and dropped, so
+// sampled == scored + stale + dropped holds once the queue drains.
+//
+// Only batches the serving generation answered are scored. After a refit or
+// rollback the queue still holds batches the replaced generation served;
+// scoring them would judge a refit on probation by its parent's answers, or
+// a restored parent by the rolled-back refit's.
 func (w *worker) score(s *sample) {
+	if s.generation != w.servingGeneration() {
+		w.stale.Add(1)
+		return
+	}
 	defer w.scored.Add(1)
 	for i, row := range s.rows {
 		out := w.cfg.Teacher.Query(row)
@@ -549,12 +571,14 @@ func (w *worker) checkProbation() {
 		w.rollback()
 		return
 	}
-	logf("shadow: %s: gen %d accepted (fidelity %.4f ≥ %.4f)", w.cfg.Model, w.generation, fid, w.baseline)
+	// Persist before announcing: the "accepted" line means the generation
+	// and the corpus it was grown from are both on disk.
 	if w.cfg.SaveCorpus != nil {
 		if err := w.cfg.SaveCorpus(w.cfg.Corpus); err != nil {
 			logf("shadow: %s: corpus persist failed: %v", w.cfg.Model, err)
 		}
 	}
+	logf("shadow: %s: gen %d accepted (fidelity %.4f ≥ %.4f)", w.cfg.Model, w.generation, fid, w.baseline)
 }
 
 // rollback restores the archived parent artifact and hot-reloads it back

@@ -297,7 +297,8 @@ func TestShadowCorpusDeterministicAcrossWorkers(t *testing.T) {
 
 // TestShadowOverflowDrops: a stalled teacher fills the bounded queue; the
 // predict path never blocks, overflow is dropped and counted, and the
-// accounting identity sampled == scored + dropped holds after the drain.
+// accounting identity sampled == scored + dropped holds after the drain
+// (no reload happens, so no batch is stale).
 func TestShadowOverflowDrops(t *testing.T) {
 	truth := func(x []float64) int {
 		if x[0] > 0.5 {
@@ -343,10 +344,59 @@ func TestShadowOverflowDrops(t *testing.T) {
 	close(gate)
 	m.Close() // drains what was queued
 	snap = m.Snapshot()
+	if snap.Stale != 0 {
+		t.Fatalf("%d batches counted stale with no reload", snap.Stale)
+	}
 	if snap.Scored+snap.Dropped != snap.Sampled {
 		t.Fatalf("accounting broken: sampled %d != scored %d + dropped %d",
 			snap.Sampled, snap.Scored, snap.Dropped)
 	}
+}
+
+// TestScoringDiscardsStaleGenerations pins that the loop judges a student
+// only by batches it served itself: batches another generation answered —
+// queued across a refit's or a rollback's hot reload — are counted stale
+// and never reach the fidelity window.
+func TestScoringDiscardsStaleGenerations(t *testing.T) {
+	corpus := gridTable(t, 4, func(x []float64) int { return 0 })
+	e, path := newServed(t, "toy", corpus, 1)
+	m := NewMonitor(e, Options{Rate: 1, Window: 64})
+	w := &worker{
+		mon: m,
+		cfg: ModelConfig{Model: "toy", Teacher: funcTeacher{f: func([]float64) int { return 0 }}},
+		est: NewEstimator(64),
+	}
+	rows := [][]float64{{0.1, 0.2}, {0.3, 0.4}}
+	check := func(what string, scored, stale int64, windowRows uint64) {
+		t.Helper()
+		if w.scored.Load() != scored || w.stale.Load() != stale || w.est.Rows() != windowRows {
+			t.Fatalf("%s: scored %d, stale %d, window rows %d; want %d, %d, %d",
+				what, w.scored.Load(), w.stale.Load(), w.est.Rows(), scored, stale, windowRows)
+		}
+	}
+
+	// Generation 0 serves: a batch from a rolled-back generation 1 is stale.
+	w.score(&sample{rows: rows, actions: []int{1, 1}, generation: 1})
+	check("gen 1 batch while gen 0 serves", 0, 1, 0)
+	w.score(&sample{rows: rows, actions: []int{0, 0}, generation: 0})
+	check("gen 0 batch while gen 0 serves", 1, 1, 2)
+
+	// A refit deploys generation 1: the parent's queued batches are stale.
+	err := artifact.SaveModel(path, fitTable(t, corpus), map[string]string{"name": "toy", "generation": "1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Reload(""); err != nil {
+		t.Fatal(err)
+	}
+	w.generation, w.probation = 1, true
+	w.score(&sample{rows: rows, actions: []int{1, 1}, generation: 0})
+	check("gen 0 batch on gen 1 probation", 1, 2, 2)
+	if w.disagreements.Load() != 0 {
+		t.Fatalf("stale batch counted %d disagreements", w.disagreements.Load())
+	}
+	w.score(&sample{rows: rows, actions: []int{0, 0}, generation: 1})
+	check("gen 1 batch on gen 1 probation", 2, 2, 4)
 }
 
 // --- the full loop -------------------------------------------------------
@@ -530,6 +580,15 @@ func TestShadowRefitRollbackEndToEnd(t *testing.T) {
 	}
 	if predicts == 0 {
 		t.Fatal("no predict traffic flowed")
+	}
+	// Across the reloads some queued batches may have been answered by a
+	// generation no longer serving; once drained, each sampled batch is
+	// scored, stale or dropped.
+	m.Close()
+	snap = m.Snapshot()
+	if snap.Scored+snap.Stale+snap.Dropped != snap.Sampled {
+		t.Fatalf("accounting broken: sampled %d != scored %d + stale %d + dropped %d",
+			snap.Sampled, snap.Scored, snap.Stale, snap.Dropped)
 	}
 	t.Logf("%d predicts, 0 failures, across 2 hot reloads (1 refit accepted, 1 rolled back)", predicts)
 }

@@ -12,7 +12,10 @@ cd "$(dirname "$0")/.."
 BENCHTIME="${1:-3x}"
 [ $# -gt 0 ] && shift
 
-BENCHES='BenchmarkFig07DecisionTree|BenchmarkMaskSearch$|BenchmarkMaskSearchSerial|BenchmarkCARTBuild|BenchmarkExtractionOverhead|BenchmarkFig27InterpBaselines|BenchmarkTreeDecision|BenchmarkDNNDecision|BenchmarkCompiledPredictBatch|BenchmarkQuantizedPredictBatch|BenchmarkServePredictBatch$|BenchmarkServePredictBatchBinary|BenchmarkServePredictBatchUDS$|BenchmarkServePredictBatchUDSPipelined|BenchmarkServePredictBatchSHM|BenchmarkServeMultiTenantContention|BenchmarkScenarioPipeline$|BenchmarkScenarioPipelineAll'
+BENCHES='BenchmarkFig07DecisionTree|BenchmarkMaskSearch$|BenchmarkMaskSearchSerial|BenchmarkRouteNetSystemOutput|BenchmarkPensieveDNNDecision|BenchmarkCARTBuild|BenchmarkExtractionOverhead|BenchmarkFig27InterpBaselines|BenchmarkTreeDecision|BenchmarkDNNDecision|BenchmarkCompiledPredictBatch|BenchmarkQuantizedPredictBatch|BenchmarkServePredictBatch$|BenchmarkServePredictBatchBinary|BenchmarkServePredictBatchUDS$|BenchmarkServePredictBatchUDSPipelined|BenchmarkServePredictBatchSHM|BenchmarkServeMultiTenantContention|BenchmarkScenarioPipeline$|BenchmarkScenarioPipelineAll'
+# BenchmarkRouteNetSystemOutput (one masked RouteNet* evaluation) and
+# BenchmarkPensieveDNNDecision (one Pensieve teacher inference) are the
+# per-layer costs under BenchmarkMaskSearch and the Fig. 7 distillation.
 # The serving subset gets its own trajectory file (BENCH_SERVE_*.json) so the
 # transport story — compiled vs quantized in-process, HTTP JSON vs HTTP
 # binary vs UDS framed through the daemon, flat vs sharded over the ring —
